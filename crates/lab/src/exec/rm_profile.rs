@@ -1,7 +1,7 @@
 //! `rm_profile` executor: where does the wall go in an n-files-per-round
 //! replication campaign?
 //!
-//! One trial drives the same campaign as `rm_scaling`'s indexed arm with
+//! One trial drives the same campaign as `rm_scaling` with
 //! the whole streaming observability plane switched on — online lifeline
 //! analyzer, live stall probes, metrics flight recorder — and the
 //! [`esg_simnet::profile`] subsystem profiler wrapped around the single
@@ -20,21 +20,16 @@
 
 use super::TrialCtx;
 use crate::journal::{AuxFile, MetricValue, TrialKey, TrialRecord};
-use crate::spec::ScenarioSpec;
 use esg_netlogger::LifelineSet;
-use esg_reqman::{start_campaign, CampaignOutcome, CampaignSpec};
-use esg_simnet::prelude::inject_all;
+use esg_reqman::CampaignOutcome;
 use esg_simnet::profile;
 use esg_simnet::{SimDuration, SimTime};
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::rc::Rc;
 
 /// Same source dataset shape as `rm_scaling`: replicated at two OC-12
 /// sites, pulled to the OC-3 portal.
 const DS: &str = "pcm_rmprof.b06";
-const TARGET_SITE: usize = 4;
 
 fn num(v: f64) -> MetricValue {
     MetricValue::Num(v)
@@ -99,54 +94,25 @@ fn live_matches_offline(
 fn run_once(ctx: &TrialCtx, tag: &str) -> Result<ProfRun, String> {
     let p = &ctx.params;
     let n = p.usize("n", 1000);
-    let bpf = p.u64("bytes_per_file", 1_000_000);
-    let max_active = p.usize("max_active", 24);
-    let batch = match p.usize("batch_files", 0) {
-        0 => n,
-        b => b,
-    };
-    let ckpt_every = p.u64("checkpoint_every_s", 1);
-    let recorder_every = p.u64("recorder_every_s", 30);
+    let recorder_every = SimDuration::from_secs(p.u64("recorder_every_s", 30));
     let stall_s = p.f64("stall_threshold_s", 120.0);
     let horizon = SimTime::from_secs(p.u64("horizon_s", 6000));
 
-    let mut tb = esg_core::esg_testbed(ctx.seed);
-    tb.publish_dataset(DS, n, 1, bpf, &[1, 3]);
-    {
-        let rm = &mut tb.sim.world.rm;
-        rm.scheduler.indexed = true;
-        rm.scheduler.max_active_per_request = max_active;
-        rm.enable_live_analysis(SimDuration::from_secs_f64(stall_s));
-    }
-    tb.start_nws(SimDuration::from_secs(25));
-    tb.sim.run_until(SimTime::from_secs(100));
-
-    let faults = super::spec_faults(&ctx.spec.faults, &tb.sites)?;
-    inject_all(&mut tb.sim, &faults);
-
-    let coll = tb
-        .sim
-        .world
-        .metadata
-        .collection_of(DS)
-        .map_err(|e| format!("collection_of: {e}"))?;
-    let target = tb.sites[TARGET_SITE].host.clone();
     let ckpt = tmp_path(ctx, tag, "ckpt");
     let tape = tmp_path(ctx, tag, "jsonl");
-    let _ = std::fs::remove_file(&ckpt);
-    let _ = std::fs::remove_file(&tape);
-
-    let mut spec = CampaignSpec::new("rm-profile", coll, target);
-    spec.batch_files = batch;
-    spec.checkpoint = Some(ckpt.clone());
-    spec.checkpoint_every = SimDuration::from_secs(ckpt_every);
-    spec.recorder = Some(tape.clone());
-    spec.recorder_every = SimDuration::from_secs(recorder_every);
-    let outcome: Rc<RefCell<Option<CampaignOutcome>>> = Rc::new(RefCell::new(None));
-    let sink = Rc::clone(&outcome);
-    tb.sim.schedule_at(SimTime::from_secs(105), move |sim| {
-        start_campaign(sim, spec, move |_, o| *sink.borrow_mut() = Some(o));
-    });
+    let (mut tb, outcome) = super::campaign_testbed(
+        ctx,
+        DS,
+        "rm-profile",
+        n,
+        &ckpt,
+        |rm| rm.enable_live_analysis(SimDuration::from_secs_f64(stall_s)),
+        |spec| {
+            // Starting the campaign truncates a stale tape.
+            spec.recorder = Some(tape.clone());
+            spec.recorder_every = recorder_every;
+        },
+    )?;
 
     profile::start();
     tb.sim.run_until(horizon);
@@ -337,20 +303,4 @@ pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
             sha256: crate::sha_hex(&a.tape),
         }],
     })
-}
-
-/// The committed `BENCH_profile.json`: one fragment per curve point.
-pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let mut json = format!(
-        "{{\n  \"bench\": \"rm_profile\",\n  \"seed\": {},\n  \"points\": [\n",
-        spec.seeds.first().copied().unwrap_or(17),
-    );
-    let fragments: Vec<&str> = rows.iter().filter_map(|r| r.fragment.as_deref()).collect();
-    for (i, frag) in fragments.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(frag);
-        json.push_str(if i + 1 < fragments.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    Some(json)
 }

@@ -6,11 +6,8 @@
 //! `scaling::run_curve_point`, which the pre-migration bin also called.
 
 use super::TrialCtx;
-use crate::gate::Baseline;
 use crate::journal::{MetricValue, TrialRecord};
-use crate::json::Json;
 use crate::scaling::{run_curve_point, trace_sha256_hex, PointReport};
-use crate::spec::ScenarioSpec;
 use std::fmt::Write as _;
 
 pub fn run(ctx: &TrialCtx) -> Result<TrialRecord, String> {
@@ -161,54 +158,4 @@ fn json_point(p: &PointReport) -> String {
     )
     .unwrap();
     s
-}
-
-/// The committed curve file, assembled from per-point fragments in row
-/// order — same bytes the old `--curve` bin wrote.
-pub fn assemble(spec: &ScenarioSpec, rows: &[TrialRecord]) -> Option<String> {
-    let mut json = format!(
-        concat!(
-            "{{\n  \"bench\": \"user_scaling_curve\",\n  \"seed\": {},\n",
-            "  \"clients_per_region\": {},\n  \"points\": [\n"
-        ),
-        spec.seeds.first().copied().unwrap_or(17),
-        crate::scaling::CLIENTS_PER_REGION,
-    );
-    let fragments: Vec<&str> = rows.iter().filter_map(|r| r.fragment.as_deref()).collect();
-    for (i, frag) in fragments.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(frag);
-        json.push_str(if i + 1 < fragments.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    Some(json)
-}
-
-/// Baseline for `wall_regression`: match each spec variant to the
-/// committed curve point with the same `n` and expose its parallel-arm
-/// wall clock.
-pub fn baseline(spec: &ScenarioSpec, artifact: &Json) -> Result<Baseline, String> {
-    let points = artifact
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no points array")?;
-    let mut out = Baseline::new();
-    for v in spec.effective_variants() {
-        let merged = spec.params.merged(&v.overrides);
-        let n = merged.u64("n", 0);
-        let Some(point) = points
-            .iter()
-            .find(|p| p.get("n").and_then(Json::as_u64) == Some(n))
-        else {
-            continue; // gate reports the missing variant as an explicit error
-        };
-        let mut m = std::collections::BTreeMap::new();
-        for key in ["wall_ms_sequential", "wall_ms_parallel"] {
-            if let Some(val) = point.get(key).and_then(Json::as_f64) {
-                m.insert(key.to_string(), val);
-            }
-        }
-        out.insert(v.name.clone(), m);
-    }
-    Ok(out)
 }

@@ -723,6 +723,23 @@ mod tests {
         }
     }
 
+    /// Each committed artifact has exactly one writer, so a reduced slice
+    /// (a `*_smoke` spec) can never overwrite the full curve — or reset
+    /// the `wall_regression` baseline that it and later runs gate on.
+    #[test]
+    fn no_two_builtins_write_the_same_artifact() {
+        let mut writers = std::collections::BTreeMap::new();
+        for name in builtin_names() {
+            if let Some(artifact) = ScenarioSpec::load(name).unwrap().artifact {
+                let other = writers.insert(artifact.clone(), name);
+                assert!(
+                    other.is_none(),
+                    "{artifact} written by {other:?} and {name}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn implicit_base_variant() {
         let mut s = sample();

@@ -164,9 +164,9 @@ pub(crate) struct CampaignState {
     span: SpanId,
     /// Last journaled marker offset per in-flight file.
     last_marker: HashMap<String, u64>,
-    /// Persistent journal handle (indexed pipeline): torn-tail healing
-    /// runs once at open instead of on every append. `None` under the
-    /// legacy flag or when no checkpoint is configured.
+    /// Persistent journal handle: torn-tail healing runs once at open
+    /// instead of on every append. `None` when no checkpoint is configured
+    /// (or it could not be opened).
     writer: Option<JournalWriter>,
     /// Delta state of the metrics flight recorder when a tape is
     /// configured.
@@ -174,16 +174,12 @@ pub(crate) struct CampaignState {
 }
 
 impl CampaignState {
-    /// Append journal lines: through the persistent writer when one is
-    /// open, else the legacy re-read-and-heal [`append_lines`] path.
-    /// Both produce byte-identical journals (the campaign is the only
-    /// writer mid-run). Returns durability; `false` with no checkpoint.
+    /// Append journal lines through the persistent writer. Returns
+    /// durability; `false` when there is no open journal.
     fn journal(&mut self, lines: &[String]) -> bool {
-        match (&mut self.writer, &self.spec.checkpoint) {
-            (Some(w), _) => w.append(lines).is_ok(),
-            (None, Some(path)) => append_lines(path, lines).is_ok(),
-            (None, None) => false,
-        }
+        self.writer
+            .as_mut()
+            .is_some_and(|w| w.append(lines).is_ok())
     }
 }
 
@@ -216,28 +212,31 @@ fn enc(s: &str) -> String {
     out
 }
 
-fn dec(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Inverse of [`enc`], byte-wise: `%XX` escapes decode to raw bytes, so
+/// multi-byte characters pass through intact. `None` when the result is
+/// not UTF-8 — a corrupted field the caller treats as unparseable.
+fn dec(s: &str) -> Option<String> {
+    let hex = |b: Option<&u8>| b.and_then(|&b| (b as char).to_digit(16));
     let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 3 <= bytes.len() {
-            if let Ok(v) = u8::from_str_radix(&s[i + 1..i + 3], 16) {
-                out.push(v as char);
+        if bytes[i] == b'%' {
+            if let (Some(hi), Some(lo)) = (hex(bytes.get(i + 1)), hex(bytes.get(i + 2))) {
+                out.push((hi * 16 + lo) as u8);
                 i += 3;
                 continue;
             }
         }
-        out.push(bytes[i] as char);
+        out.push(bytes[i]);
         i += 1;
     }
-    out
+    String::from_utf8(out).ok()
 }
 
-/// An open journal whose torn tail was healed once, at open; appends are
-/// then O(lines written). The per-call [`append_lines`] path below re-reads
-/// the whole journal on every append — O(journal) per settled batch, the
-/// cost the `rm_scaling` bench charges to the legacy arm.
+/// An open journal whose torn tail was healed once, at open (mirroring
+/// the lab journal's healing discipline); appends are then O(lines
+/// written). The campaign is the journal's only writer.
 struct JournalWriter {
     file: std::fs::File,
 }
@@ -275,34 +274,6 @@ impl JournalWriter {
     }
 }
 
-/// Append `lines` to the journal, first truncating any torn tail left by
-/// a crash mid-write (mirrors the lab journal's healing discipline).
-fn append_lines(path: &Path, lines: &[String]) -> std::io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom, Write};
-    let _j = profile::scope(profile::JOURNAL);
-    profile::count("journal.lines", lines.len() as u64);
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    let keep = match buf.iter().rposition(|&b| b == b'\n') {
-        Some(i) => i + 1,
-        None => 0,
-    };
-    if keep != buf.len() {
-        f.set_len(keep as u64)?;
-    }
-    f.seek(SeekFrom::End(0))?;
-    for l in lines {
-        writeln!(f, "{l}")?;
-    }
-    f.flush()
-}
-
 /// Parsed checkpoint: the settled map, whether the journal already holds a
 /// `complete` line.
 struct Checkpoint {
@@ -310,16 +281,15 @@ struct Checkpoint {
 }
 
 /// Load a checkpoint if it exists and its header vouches for `spec_sha`.
-/// A torn final line is dropped; a missing, unreadable, or mismatched
-/// journal yields `None` (fresh start).
+/// A torn final line is dropped, and so is any line that is not UTF-8; a
+/// missing, unreadable, or mismatched journal yields `None` (fresh start).
 fn load_checkpoint(path: &Path, spec_sha: &str) -> Option<Checkpoint> {
-    let raw = std::fs::read_to_string(path).ok()?;
-    if raw.is_empty() {
-        return None;
-    }
+    let raw = std::fs::read(path).ok()?;
     // Only complete lines are facts: drop an unterminated tail.
-    let upto = raw.rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let mut lines = raw[..upto].lines();
+    let upto = raw.iter().rposition(|&b| b == b'\n')?;
+    let mut lines = raw[..upto]
+        .split(|&b| b == b'\n')
+        .map(|l| std::str::from_utf8(l).unwrap_or(""));
     let header = lines.next()?;
     if !header.starts_with("campaign v1 ") {
         return None;
@@ -330,43 +300,32 @@ fn load_checkpoint(path: &Path, spec_sha: &str) -> Option<Checkpoint> {
     }
     let mut settled = BTreeMap::new();
     for line in lines {
-        let mut toks = line.split_whitespace();
-        match toks.next() {
-            Some("settled") => {
-                let Some(f) = parse_fields(line, "settled") else {
-                    continue;
-                };
-                let (Some(name), Some(size)) = (f.get("file"), f.get("size")) else {
-                    continue;
-                };
-                let Ok(size) = size.parse::<u64>() else {
-                    continue;
-                };
-                let digest = f.get("digest").filter(|d| d.as_str() != "-").cloned();
-                let done = f.get("status").map(String::as_str) == Some("done");
-                let round = f.get("round").and_then(|r| r.parse().ok()).unwrap_or(0u64);
-                settled.insert(
-                    dec(name),
-                    Settled {
-                        size,
-                        digest,
-                        done,
-                        round,
-                    },
-                );
-            }
-            // Markers, resume notes and the complete line are forensic
-            // records, not resume inputs.
-            Some("marker") | Some("resume") | Some("complete") => {}
-            _ => {}
-        }
+        // Only settled lines are resume inputs: markers, resume notes and
+        // the complete line are forensic, anything else is unparseable.
+        let Some(f) = parse_fields(line, "settled") else {
+            continue;
+        };
+        let (Some(name), Some(size)) = (f.get("file"), f.get("size")) else {
+            continue;
+        };
+        let (Some(name), Ok(size)) = (dec(name), size.parse::<u64>()) else {
+            continue;
+        };
+        let entry = Settled {
+            size,
+            digest: f.get("digest").filter(|d| d.as_str() != "-").cloned(),
+            done: f.get("status").map(String::as_str) == Some("done"),
+            round: f.get("round").and_then(|r| r.parse().ok()).unwrap_or(0),
+        };
+        settled.insert(name, entry);
     }
     Some(Checkpoint { settled })
 }
 
-/// Split a `kind k=v k=v ...` journal line into its fields.
+/// Split a `kind k=v k=v ...` journal line into its fields. Fields are
+/// separated by single spaces, the only whitespace [`enc`] escapes.
 fn parse_fields(line: &str, kind: &str) -> Option<HashMap<String, String>> {
-    let mut toks = line.split_whitespace();
+    let mut toks = line.split(' ');
     if toks.next() != Some(kind) {
         return None;
     }
@@ -530,16 +489,12 @@ pub fn start_campaign<W: RmWorld>(
         FlightRecorder::new()
     });
 
-    // The indexed pipeline holds the journal open for the campaign's
-    // lifetime: one heal at open, O(lines) per append. Legacy re-opens
-    // and re-reads per batch.
-    let mut writer = if rm.scheduler.indexed {
-        spec.checkpoint
-            .as_ref()
-            .and_then(|path| JournalWriter::open(path).ok())
-    } else {
-        None
-    };
+    // The journal stays open for the campaign's lifetime: one heal at
+    // open, O(lines) per append.
+    let mut writer = spec
+        .checkpoint
+        .as_ref()
+        .and_then(|path| JournalWriter::open(path).ok());
 
     // Checkpoint facts only count when they still describe a current file
     // (name and size both match); anything else is retried. Indexed by
@@ -577,12 +532,10 @@ pub fn start_campaign<W: RmWorld>(
                 .field("skipped", files_skipped as u64)
                 .field("bytes_skipped", bytes_skipped),
         );
-        if let Some(path) = &spec.checkpoint {
-            let line = format!("resume skipped={files_skipped} bytes={bytes_skipped}");
-            let _ = match &mut writer {
-                Some(w) => w.append(&[line]),
-                None => append_lines(path, &[line]),
-            };
+        if let Some(w) = &mut writer {
+            let _ = w.append(&[format!(
+                "resume skipped={files_skipped} bytes={bytes_skipped}"
+            )]);
         }
     }
 
@@ -946,29 +899,9 @@ fn marker_tick<W: RmWorld>(sim: &mut Sim<W>, camp: SharedCampaign) {
     }
     let req = camp.borrow().current_request;
     if let Some(req) = req {
-        // The indexed pipeline reads only the files with banked unfinished
-        // bytes from the request's incremental progress set; the legacy
-        // path clones every FileStatus of the round and filters, and is
-        // charged one rescan of the round per tick for it. Both yield the
-        // same (name, offset) sequence in the same order.
-        let progress: Option<Vec<(String, u64)>> = if sim.world.reqman().scheduler.indexed {
-            sim.world.reqman().marker_progress(req)
-        } else {
-            let rm = sim.world.reqman();
-            let statuses = rm.status(req);
-            if let Some(statuses) = &statuses {
-                rm.metrics.counter_add(crate::manager::QUEUE_RESCANS, 1);
-                rm.metrics
-                    .counter_add(crate::manager::LEDGER_SCAN_LEN, statuses.len() as u64);
-            }
-            statuses.map(|v| {
-                v.into_iter()
-                    .filter(|fs| !fs.done && fs.bytes_done != 0)
-                    .map(|fs| (fs.name, fs.bytes_done))
-                    .collect()
-            })
-        };
-        if let Some(progress) = progress {
+        // Only the files with banked unfinished bytes, read from the
+        // request's incremental progress set.
+        if let Some(progress) = sim.world.reqman().marker_progress(req) {
             let (lines, id) = {
                 let mut c = camp.borrow_mut();
                 let round = c.round_idx as u64;
@@ -1418,8 +1351,11 @@ mod tests {
         let cp = load_checkpoint(&ckpt, &sha).expect("journal must load");
         assert_eq!(cp.settled.len(), 1);
         assert!(cp.settled["pcm.run1.f000"].done);
-        // Appending heals the tear before writing.
-        append_lines(&ckpt, &["resume skipped=1 bytes=0".into()]).unwrap();
+        // Opening the writer heals the tear before anything is appended.
+        JournalWriter::open(&ckpt)
+            .unwrap()
+            .append(&["resume skipped=1 bytes=0".into()])
+            .unwrap();
         let raw = std::fs::read_to_string(&ckpt).unwrap();
         assert!(!raw.contains("f001 si"), "torn fragment must be truncated");
         assert!(raw.ends_with("resume skipped=1 bytes=0\n"));
@@ -1560,8 +1496,137 @@ mod tests {
 
     #[test]
     fn field_encoding_round_trips() {
-        for s in ["plain", "with space", "a=b", "50%", "nl\nend", "%20"] {
-            assert_eq!(dec(&enc(s)), s, "{s:?}");
+        for s in [
+            "plain",
+            "with space",
+            "a=b",
+            "50%",
+            "nl\nend",
+            "%20",
+            "pcm.été.nc",
+            "globe.🌍.nc",
+            "%aé",
+        ] {
+            assert_eq!(dec(&enc(s)).as_deref(), Some(s), "{s:?}");
+        }
+        // Escapes that decode to non-UTF-8 bytes are rejected; a dangling
+        // escape before a multi-byte character stays literal. Neither
+        // panics.
+        assert_eq!(dec("%C3"), None);
+        assert_eq!(dec("%ff%fe"), None);
+        assert_eq!(dec("%aé").as_deref(), Some("%aé"));
+        assert_eq!(dec("%C3%A9").as_deref(), Some("é"));
+        // Whole settled lines round-trip too, including whitespace `enc`
+        // leaves alone (tab, no-break space).
+        for name in ["pcm.été.nc", "tab\there", "nb\u{a0}sp"] {
+            let entry = Settled {
+                size: 1,
+                digest: None,
+                done: true,
+                round: 0,
+            };
+            let fields = parse_fields(&settled_line(name, &entry), "settled").unwrap();
+            assert_eq!(dec(&fields["file"]).as_deref(), Some(name));
+        }
+    }
+
+    /// A journal torn at *any* byte offset resumes to the uninterrupted
+    /// manifest with every byte accounted to exactly one of the two runs.
+    /// The resumed run keeps every whole line, drops the torn tail before
+    /// appending, and ends with the same `complete` line.
+    #[test]
+    fn journal_truncated_at_every_offset_resumes_equivalently() {
+        let ckpt = tmp_checkpoint("truncate-full");
+        let (full, manifest) = {
+            let (mut sim, _) = setup();
+            start_campaign(&mut sim, spec_with("mirror", Some(ckpt.clone())), |s, o| {
+                s.world.outcomes.push(o)
+            });
+            sim.run();
+            (
+                std::fs::read(&ckpt).unwrap(),
+                sim.world.outcomes[0].manifest_sha256.clone(),
+            )
+        };
+        let complete = format!("complete manifest={manifest}\n");
+        assert!(full.ends_with(complete.as_bytes()));
+        let torn = tmp_checkpoint("truncate-torn");
+        for cut in 0..=full.len() {
+            std::fs::write(&torn, &full[..cut]).unwrap();
+            let (mut sim, _) = setup();
+            start_campaign(&mut sim, spec_with("mirror", Some(torn.clone())), |s, o| {
+                s.world.outcomes.push(o)
+            });
+            sim.run();
+            let o = &sim.world.outcomes[0];
+            assert_eq!(o.manifest_sha256, manifest, "cut at byte {cut}");
+            assert_eq!(
+                o.bytes_skipped + o.bytes_transferred,
+                FILES as u64 * FILE_BYTES,
+                "cut at byte {cut}"
+            );
+            assert_eq!(
+                o.files_skipped + o.files_delivered,
+                FILES,
+                "cut at byte {cut}"
+            );
+            // Whole lines survive; the torn tail is gone before the
+            // resumed run's first append (a torn header means a fresh
+            // start under a rewritten header).
+            let kept = match full[..cut].iter().rposition(|&b| b == b'\n') {
+                Some(i) => &full[..=i],
+                None => &[][..],
+            };
+            assert_eq!(o.resumed, !kept.is_empty(), "cut at byte {cut}");
+            let healed = std::fs::read(&torn).unwrap();
+            if o.resumed {
+                assert!(healed.starts_with(kept), "cut at byte {cut}");
+                assert!(
+                    healed[kept.len()..].starts_with(b"resume skipped="),
+                    "cut at byte {cut}: torn tail not healed"
+                );
+            }
+            assert!(healed.ends_with(complete.as_bytes()), "cut at byte {cut}");
+        }
+        let _ = std::fs::remove_file(&ckpt);
+        let _ = std::fs::remove_file(&torn);
+    }
+
+    /// `|`-separated fragments a corrupted journal line could be made of:
+    /// field keys, escapes (valid, dangling, non-UTF-8), multi-byte
+    /// characters, numbers and separators.
+    const FRAGMENTS: &str = "settled |marker |complete |file=|size=|digest=-|status=done|round=|\
+        offset=|%|%2|%20|%C3|%A9|%ff|%a|é|🌍|=| |\n|\t|0|42|18446744073709551616|-1|pcm.f";
+
+    proptest::proptest! {
+        /// `load_checkpoint` never panics, whatever the journal holds: raw
+        /// arbitrary bytes, or a valid header followed by lines spliced
+        /// from journal fragments and arbitrary bytes.
+        #[test]
+        fn load_checkpoint_never_panics(
+            raw in proptest::collection::vec(proptest::any::<u8>(), 0..200),
+            picks in proptest::collection::vec(0usize..64, 0..48),
+            with_header in proptest::any::<bool>(),
+        ) {
+            let ckpt = std::env::temp_dir().join(format!(
+                "esg-campaign-fuzz-{}.ckpt",
+                std::process::id()
+            ));
+            let mut body = Vec::new();
+            if with_header {
+                body.extend_from_slice(b"campaign v1 spec=abc name=m collection=c target=t files=1\n");
+            }
+            let fragments: Vec<&str> = FRAGMENTS.split('|').collect();
+            for &p in &picks {
+                match fragments.get(p) {
+                    Some(f) => body.extend_from_slice(f.as_bytes()),
+                    None => body.extend_from_slice(&raw[..raw.len().min(p)]),
+                }
+            }
+            body.extend_from_slice(&raw);
+            std::fs::write(&ckpt, &body).unwrap();
+            let _ = load_checkpoint(&ckpt, "abc");
+            let _ = std::fs::remove_file(&ckpt);
         }
     }
 }

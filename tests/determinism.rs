@@ -2,6 +2,8 @@
 //! configuration — the property that makes the benchmark harness's numbers
 //! meaningful.
 
+mod common;
+
 use esg::core::{run_fig8, run_table1, Fig8Config, Table1Config};
 use esg::simnet::SimDuration;
 
@@ -285,4 +287,95 @@ fn soak_trace_survives_incremental_allocator() {
     let hex = sha_hex(&inc);
     println!("soak trace sha256: {hex}");
     assert_eq!(hex, SOAK_GOLDEN, "pinned soak trace drifted");
+}
+
+/// Golden (trace, manifest, checkpoint journal) sha256s of the seed-17,
+/// n=100 point of the `rm_scaling` curve, run through the lab executor.
+/// Captured while the request manager still carried a second,
+/// rescan-based bookkeeping arm that agreed with the indexed one bit for
+/// bit; this pin now stands in for that comparison. Regenerate with
+/// `cargo test rm_campaigns -- --nocapture` after an intentional change
+/// to the RM, the campaign journal or logging.
+const RM_SCALING_N100_GOLDEN: [&str; 3] = [
+    "025ec9850b32404819ed33a09b9db1a80881e00a377f647af6799cf83d9bee1e",
+    "cb385cfe023d655675cdcca6d7a709a69be703dbee0830371d2c1542302bf165",
+    "674601c5c92908e74edf485bdfac9683165002c2484b53d32423cf440187854b",
+];
+
+#[test]
+fn rm_scaling_n100_campaign_is_pinned() {
+    use esg_lab::exec::{run_trial, TrialCtx};
+    use esg_lab::journal::MetricValue;
+    use esg_lab::spec::{Params, ScenarioSpec};
+
+    let spec = ScenarioSpec::load("rm_scaling").unwrap();
+    let n100 = spec.variants.iter().find(|v| v.name == "n100").unwrap();
+    let once = Params(vec![("repeats".into(), esg_lab::json::Json::Int(1))]);
+    let ctx = TrialCtx {
+        spec: &spec,
+        params: spec.params.merged(&n100.overrides).merged(&once),
+        variant: n100.name.clone(),
+        seed: 17,
+        rep: 0,
+    };
+    let record = run_trial(&ctx).unwrap();
+    let shas =
+        ["trace_sha256", "manifest_sha256", "journal_sha256"].map(|k| match record.metric(k) {
+            Some(MetricValue::Str(s)) => s.clone(),
+            other => panic!("{k}: {other:?}"),
+        });
+    println!("rm_scaling n100 (trace, manifest, journal): {shas:?}");
+    assert_eq!(
+        shas, RM_SCALING_N100_GOLDEN,
+        "pinned rm_scaling n100 drifted"
+    );
+}
+
+/// Golden (trace, manifest, checkpoint journal) sha256s of three faulted
+/// campaigns of the `tests/rm_scaling.rs` property, captured alongside
+/// `RM_SCALING_N100_GOLDEN`: SiteSpread admission over five 3-file rounds
+/// with retries, FIFO over four 8-file rounds with failovers, and
+/// ShortestFirst in one round under three outages.
+const RM_FAULTED_GOLDEN: [[&str; 3]; 3] = [
+    [
+        "e1863bd640e6a80196defa7348d853b20db2fa01dae43c2771b22d77e71e9f2e",
+        "1c94dbc8626196e71aee6c5871b35c335765566ec0f07d58fbf78ef927e0db6d",
+        "dad4ae7f8c72d89cc1adc255e7ca313c7d32d15d2ead4fe6d299f63851f765aa",
+    ],
+    [
+        "75524083e372268843ba58d228e2b6e60ac99c2f1dd2a5ef101ec7b4dfe875c9",
+        "126c687ff57d1fe5e4ce7d13234cc9d2b4f0973475115147505d949420f03744",
+        "5342523271bd7fefdd1a259c53791d74f7b0036509c4167294e0433e57e519f5",
+    ],
+    [
+        "4614882e728e8af5d1e1ba43d44d425c25585cbfe45edaba4fc9e22a18616220",
+        "c8a003191b667f1f45b724f17f680d6bf4dbb955ddcb7c00658d05845a57beca",
+        "65b13ceb961c3d72579da53b0649d9e5f13f7d1a9c7d0c6a850134907bd50b9a",
+    ],
+];
+
+#[test]
+fn faulted_multi_round_campaigns_are_pinned() {
+    use esg::reqman::AdmissionPolicy::{Fifo, ShortestFirst, SiteSpread};
+    let campaign = common::run_campaign;
+    let runs = [
+        campaign(41, 14, 2_500_000, SiteSpread, 3, 4, &[(106, 20), (130, 15)]),
+        campaign(233, 29, 1_700_000, Fifo, 8, 3, &[(107, 24)]),
+        campaign(
+            5,
+            21,
+            3_200_000,
+            ShortestFirst,
+            21,
+            2,
+            &[(105, 9), (150, 22), (230, 12)],
+        ),
+    ];
+    for (run, golden) in runs.into_iter().zip(RM_FAULTED_GOLDEN) {
+        let run = run.expect("campaign finishes");
+        let [trace, journal] = [&run.trace, &run.journal].map(|s| sha_hex(s));
+        let shas = [trace, run.outcome.manifest_sha256, journal];
+        println!("faulted campaign (trace, manifest, journal): {shas:?}");
+        assert_eq!(shas, golden, "pinned faulted campaign drifted");
+    }
 }
